@@ -21,10 +21,11 @@ DDP_BENCHES = BenchmarkDDP_Step|BenchmarkIallreduce
 
 # The event-core benchmarks: the heap engine at 10k/100k/1M generated
 # jobs against the seed's linear-scan baseline at 10k/100k (EXPERIMENTS.md
-# records the events/sec ratio in BENCH_cluster.json). The linear 100k
+# records the events/sec ratio in BENCH_cluster.json), plus a saturated
+# backfill drain where the policy scan dominates. The linear 100k
 # point is O(n²) by construction and takes minutes — that slowness is
 # the measurement.
-CLUSTER_BENCHES = BenchmarkClusterDrain|BenchmarkClusterDrainLinear
+CLUSTER_BENCHES = BenchmarkClusterDrain|BenchmarkClusterDrainLinear|BenchmarkClusterSchedule
 
 # The chaos soak's seed sweep. `make chaos` defaults to a wider fixed
 # sweep than the in-tree default ({1,2}); override with
@@ -37,8 +38,9 @@ all: build test
 
 # The full static + dynamic gate: vet, the race-enabled test suite, the
 # allocation-regression tests, the fault-tolerance matrix, the chaos
-# soak, and a one-iteration bench smoke of the MPI benchmarks under the
-# race detector.
+# soak, a one-iteration bench smoke of the MPI benchmarks under the
+# race detector, and the repo benchmark's own tests (perfbench is a
+# separate module, so the root `go test ./...` skips it).
 check: faults chaos
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -52,8 +54,9 @@ check: faults chaos
 	$(GO) test -race -run NONE -bench '$(MPI_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(RMA_BENCHES)' -benchtime=1x .
 	$(GO) test -race -run NONE -bench '$(DDP_BENCHES)' -benchtime=1x .
-	$(GO) test -race -run 'TestHeapVsLinear|TestRunUntilSinglePop|FuzzWorkloadSpec' ./internal/cluster ./internal/workload
+	$(GO) test -race -run 'TestHeapVsLinear|TestRunUntilSinglePop|TestAllocSchedulePass|FuzzWorkloadSpec' ./internal/cluster ./internal/workload
 	$(GO) test -run 'TestHelpGolden' ./cmd/sbatch ./cmd/modulerun
+	cd perfbench && $(GO) test ./...
 	$(GO) run ./cmd/sbatch -workload "poisson:600/h;runtime=exp:60s;tasks=fixed:8" -njobs 100000 -nodes 4
 
 # The chaos soak: for each seed, derive a randomized fault plan (rank

@@ -61,3 +61,21 @@ func TestParseRejectsEmpty(t *testing.T) {
 		t.Fatal("expected an error for input with no benchmarks")
 	}
 }
+
+// At GOMAXPROCS=1 `go test` prints no -N suffix; the run still used
+// one processor, so procs must read 1, not 0.
+func TestParseSingleProcHasNoSuffix(t *testing.T) {
+	const in = "BenchmarkSolo/jobs=10k \t 73\t 15309703 ns/op\n" +
+		"BenchmarkPair-2 \t 10\t 1000 ns/op\n"
+	doc, err := Parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, solo := doc.Benchmarks[0], doc.Benchmarks[1]
+	if solo.Name != "BenchmarkSolo/jobs=10k" || solo.Procs != 1 {
+		t.Fatalf("unsuffixed line parsed as %+v, want procs 1", solo)
+	}
+	if pair.Name != "BenchmarkPair" || pair.Procs != 2 {
+		t.Fatalf("suffixed line parsed as %+v, want procs 2", pair)
+	}
+}

@@ -96,6 +96,59 @@ func BenchmarkClusterDrain(b *testing.B) {
 	}
 }
 
+// saturatedWorkload draws a deterministic overloaded stream for a
+// 2-node machine: Poisson arrivals at 0.5 jobs/s, zipf widths over
+// [1,64] tasks (skew 1.15, so full-machine jobs are common), exponential
+// runtimes (mean 60s, capped 30m) and 4x time limits. Offered load is
+// several times capacity, so the pending queue outgrows the backfill
+// limit and every pass scans to it.
+func saturatedWorkload(n int) []benchArrival {
+	rng := rand.New(rand.NewSource(1))
+	width := rand.NewZipf(rng, 1.15, 1, 63)
+	const rate = 0.5 // jobs per second
+	arrivals := make([]benchArrival, n)
+	var t time.Duration
+	for i := range arrivals {
+		t += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+		run := time.Duration(rng.ExpFloat64() * float64(60*time.Second))
+		run = min(max(run, time.Millisecond), 30*time.Minute)
+		arrivals[i] = benchArrival{at: t, spec: JobSpec{
+			Tasks:     1 + int(width.Uint64()),
+			BaseTime:  run,
+			TimeLimit: 4 * run,
+		}}
+	}
+	return arrivals
+}
+
+// BenchmarkClusterSchedule is a saturated EASY-backfill drain with the
+// scan capped at 64 (the workload package's default): the regime where
+// the policy scan, not the event heap, dominates. BenchmarkClusterDrain
+// stays below saturation, so its backfill scan never deepens.
+func BenchmarkClusterSchedule(b *testing.B) {
+	arrivals := saturatedWorkload(2500)
+	totalEvents := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := New(2, perfmodel.DefaultMachine())
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.SetRetainFinished(false)
+		c.SetBackfillLimit(64)
+		for _, a := range arrivals {
+			c.RunUntil(a.at)
+			if _, err := c.Submit(a.spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		c.Drain()
+		ev, _ := c.EventProbe()
+		totalEvents += ev
+	}
+	b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
+}
+
 // BenchmarkClusterDrainLinear is the same pump through the seed's
 // linear-scan engine. No 1M point: at O(n²) it would run for hours.
 func BenchmarkClusterDrainLinear(b *testing.B) {

@@ -21,11 +21,19 @@
 // SetRetainFinished(false) evicts terminal jobs so memory stays bounded
 // by in-flight work — together these let the internal/workload generators
 // stream millions of jobs through one Cluster.
+//
+// A scheduling pass costs O(limit × nodes) with no allocation: each
+// scanned pending job is tested with an exact O(nodes) feasibility
+// predicate, and the head's EASY reservation replays releases in scratch
+// buffers the Cluster owns. Only the job that starts gets its placement
+// built, in one allocation.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -175,7 +183,7 @@ type Cluster struct {
 	// and backfill reservations never scan the full (possibly evicted)
 	// job table.
 	running map[int]*Job
-	order   []int // submission order of pending job ids
+	order   []*Job // pending jobs in submission order
 	nextID  int
 	now     time.Duration
 
@@ -198,12 +206,22 @@ type Cluster struct {
 	// rateScratch holds the sorted running-job ids recomputeRates
 	// iterates (map order must not leak into float summation order).
 	rateScratch []int
+	// placeScratch holds tryPlace's candidate nodes; relScratch and the
+	// replay* slices hold earliestStart's release list and replayed node
+	// state. Reusing them keeps a pass that starts nothing allocation-free.
+	placeScratch []*node
+	relScratch   []release
+	replayFree   []int
+	replayExcl   []bool
+	replayOcc    []int
 
 	policy Policy
 	// backfillLimit caps how many pending jobs past the head one
 	// scheduling pass examines for backfill (0 = unlimited), like
 	// SLURM's bf_max_job_test. At saturation the queue is long and an
-	// uncapped scan is quadratic in queue depth.
+	// uncapped scan is quadratic in queue depth. Each examined job costs
+	// one O(nodes) feasibility check with no allocation, so a pass is
+	// O(limit × nodes) plus one allocation for the job that starts.
 	backfillLimit int
 
 	// retainFinished keeps terminal jobs in the job table for Status /
@@ -232,6 +250,9 @@ func New(n int, m perfmodel.Machine) (*Cluster, error) {
 		nextID:         1,
 		retainFinished: true,
 		demand:         make([]float64, n),
+		replayFree:     make([]int, n),
+		replayExcl:     make([]bool, n),
+		replayOcc:      make([]int, n),
 	}
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, &node{id: i, freeCores: m.CoresPerNode})
@@ -287,7 +308,7 @@ func (c *Cluster) Submit(spec JobSpec) (int, error) {
 	j := &Job{ID: c.nextID, Spec: spec, State: Pending, SubmitTime: c.now, remaining: 1}
 	c.nextID++
 	c.jobs[j.ID] = j
-	c.order = append(c.order, j.ID)
+	c.order = append(c.order, j)
 	c.agg.submitted++
 	c.agg.offeredCoreSec += float64(spec.Tasks) * spec.BaseTime.Seconds()
 	c.schedule()
@@ -305,7 +326,7 @@ func (c *Cluster) Cancel(id int) error {
 		j.State = Cancelled
 		j.EndTime = c.now
 		j.gen++ // invalidate a pending requeue-backoff event
-		c.dropPending(id)
+		c.dropPending(j)
 		c.accountTerminal(j)
 		c.evict(j)
 	case Running:
@@ -328,20 +349,19 @@ func (c *Cluster) Status(id int) (Job, error) {
 	return *j, nil
 }
 
-// dropPending removes id from the pending order.
-func (c *Cluster) dropPending(id int) {
-	for i, v := range c.order {
-		if v == id {
-			c.dropPendingIdx(i)
-			return
-		}
+// dropPending removes j from the pending order.
+func (c *Cluster) dropPending(j *Job) {
+	if i := slices.Index(c.order, j); i >= 0 {
+		c.dropPendingIdx(i)
 	}
 }
 
 // dropPendingIdx removes the i-th pending entry (the scheduler already
 // knows the index; re-scanning a saturated queue per start is wasted).
+// slices.Delete clears the vacated tail slot, so an evicted job is not
+// kept alive by the queue's backing array.
 func (c *Cluster) dropPendingIdx(i int) {
-	c.order = append(c.order[:i], c.order[i+1:]...)
+	c.order = slices.Delete(c.order, i, i+1)
 }
 
 // evict drops a terminal job from the table when retention is off.
@@ -355,58 +375,97 @@ func (c *Cluster) evict(j *Job) {
 	}
 }
 
+// perNodeCap is the most tasks of j one node may hold.
+func (c *Cluster) perNodeCap(j *Job) int {
+	if j.Spec.TasksPerNode == 0 {
+		return c.machine.CoresPerNode
+	}
+	return j.Spec.TasksPerNode
+}
+
+// accepts reports whether n may take tasks of a job: down and
+// exclusively held nodes take none, an exclusive request needs an empty
+// node, and a shared one needs a free core.
+func (n *node) accepts(exclusive bool) bool {
+	if n.exclusive || n.down {
+		return false
+	}
+	if exclusive {
+		return len(n.jobs) == 0
+	}
+	return n.freeCores > 0
+}
+
+// canPlace reports whether tryPlace would find an allocation for j,
+// without building one. Greedy placement takes min(free, perNode, left)
+// from each accepting node in any order, so it succeeds exactly when
+// min(free, perNode) summed over those nodes reaches Tasks: the
+// predicate is exact, O(nodes), and allocation-free.
+func (c *Cluster) canPlace(j *Job) bool {
+	perNode := c.perNodeCap(j)
+	left := j.Spec.Tasks
+	for _, n := range c.nodes {
+		if !n.accepts(j.Spec.Exclusive) {
+			continue
+		}
+		if fit := min(n.freeCores, perNode); fit > 0 {
+			left -= fit
+			if left <= 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // tryPlace finds an allocation for the job under current state, or nil.
 // Placement packs tasks onto the emptiest-first nodes (to leave room) for
-// shared jobs and onto fully idle nodes for exclusive jobs.
+// shared jobs and onto fully idle nodes for exclusive jobs. The returned
+// nodes and tasks share one backing array; the scheduler calls it only
+// for a job it is about to start (canPlace answers feasibility).
 func (c *Cluster) tryPlace(j *Job) ([]int, []int) {
-	perNode := j.Spec.TasksPerNode
-	if perNode == 0 {
-		perNode = c.machine.CoresPerNode
-	}
-	var candidates []*node
+	perNode := c.perNodeCap(j)
+	candidates := c.placeScratch[:0]
 	for _, n := range c.nodes {
-		if n.exclusive || n.down {
-			continue
-		}
-		if j.Spec.Exclusive {
-			if len(n.jobs) == 0 {
-				candidates = append(candidates, n)
-			}
-			continue
-		}
-		if n.freeCores > 0 {
+		if n.accepts(j.Spec.Exclusive) {
 			candidates = append(candidates, n)
 		}
 	}
+	c.placeScratch = candidates
 	// Most-free-cores first gives balanced placements.
-	sort.Slice(candidates, func(a, b int) bool {
-		if candidates[a].freeCores != candidates[b].freeCores {
-			return candidates[a].freeCores > candidates[b].freeCores
+	slices.SortFunc(candidates, func(a, b *node) int {
+		if a.freeCores != b.freeCores {
+			return b.freeCores - a.freeCores
 		}
-		return candidates[a].id < candidates[b].id
+		return a.id - b.id
 	})
-	var nodes, tasks []int
-	left := j.Spec.Tasks
+	// Count the nodes the greedy fill uses, then fill one exactly sized
+	// array: nodes in its first half, tasks per node in its second.
+	used, left := 0, j.Spec.Tasks
+	for _, n := range candidates {
+		if left <= 0 {
+			break
+		}
+		if fit := min(n.freeCores, perNode, left); fit > 0 {
+			used++
+			left -= fit
+		}
+	}
+	if left > 0 {
+		return nil, nil
+	}
+	buf := make([]int, 2*used)
+	nodes, tasks := buf[:0:used], buf[used:used]
+	left = j.Spec.Tasks
 	for _, n := range candidates {
 		if left == 0 {
 			break
 		}
-		fit := n.freeCores
-		if fit > perNode {
-			fit = perNode
+		if fit := min(n.freeCores, perNode, left); fit > 0 {
+			nodes = append(nodes, n.id)
+			tasks = append(tasks, fit)
+			left -= fit
 		}
-		if fit <= 0 {
-			continue
-		}
-		if fit > left {
-			fit = left
-		}
-		nodes = append(nodes, n.id)
-		tasks = append(tasks, fit)
-		left -= fit
-	}
-	if left > 0 {
-		return nil, nil
 	}
 	return nodes, tasks
 }
@@ -430,9 +489,7 @@ func (c *Cluster) schedule() {
 		var headCanStart bool
 		var headStart time.Duration
 		scanned := 0
-		for idx := 0; idx < len(c.order); idx++ {
-			id := c.order[idx]
-			j := c.jobs[id]
+		for idx, j := range c.order {
 			if j.eligibleAt > c.now {
 				// Requeued job still in backoff: not startable, and it
 				// holds no reservation either.
@@ -444,16 +501,15 @@ func (c *Cluster) schedule() {
 					break
 				}
 			}
-			nodes, tasks := c.tryPlace(j)
-			if nodes == nil {
+			if !c.canPlace(j) {
 				continue
 			}
 			fits := idx == 0
 			if !fits {
 				if !headStartDone {
 					headStartDone = true
-					head := c.jobs[c.order[0]]
-					if hn, _ := c.tryPlace(head); hn != nil {
+					head := c.order[0]
+					if c.canPlace(head) {
 						headCanStart = true
 					} else {
 						headStart = c.earliestStart(head)
@@ -471,6 +527,7 @@ func (c *Cluster) schedule() {
 				}
 			}
 			if fits {
+				nodes, tasks := c.tryPlace(j)
 				c.start(j, nodes, tasks)
 				c.dropPendingIdx(idx)
 				started = true
@@ -488,54 +545,50 @@ func (c *Cluster) schedule() {
 // (requeued jobs still in backoff are held, not blocking).
 func (c *Cluster) scheduleFIFO() {
 	for {
-		idx := -1
-		for i, id := range c.order {
-			if c.jobs[id].eligibleAt <= c.now {
-				idx = i
-				break
-			}
-		}
+		idx := slices.IndexFunc(c.order, func(j *Job) bool { return j.eligibleAt <= c.now })
 		if idx < 0 {
 			return
 		}
-		j := c.jobs[c.order[idx]]
-		nodes, tasks := c.tryPlace(j)
-		if nodes == nil {
+		j := c.order[idx]
+		if !c.canPlace(j) {
 			return
 		}
+		nodes, tasks := c.tryPlace(j)
 		c.start(j, nodes, tasks)
 		c.dropPendingIdx(idx)
 	}
+}
+
+// release is one node's share of a running job's predicted end, replayed
+// by earliestStart.
+type release struct {
+	at    time.Duration
+	node  int
+	cores int
 }
 
 // earliestStart estimates when the head job could start, assuming running
 // jobs end at their current predicted completion (walltime-limit capped)
 // and no further arrivals.
 func (c *Cluster) earliestStart(head *Job) time.Duration {
-	type release struct {
-		at    time.Duration
-		node  int
-		cores int
-	}
-	var rel []release
+	rel := c.relScratch[:0]
 	for _, j := range c.running {
 		eta := c.now + c.predictRemaining(j)
 		for i, nid := range j.Nodes {
 			rel = append(rel, release{at: eta, node: nid, cores: j.tasksOn[i]})
 		}
 	}
+	c.relScratch = rel
 	// Deterministic replay order: ties on time release lower node ids
 	// first (map iteration order must not leak into the schedule).
-	sort.Slice(rel, func(a, b int) bool {
-		if rel[a].at != rel[b].at {
-			return rel[a].at < rel[b].at
+	slices.SortFunc(rel, func(a, b release) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
-		return rel[a].node < rel[b].node
+		return a.node - b.node
 	})
 	// Replay releases until the head fits.
-	free := make([]int, len(c.nodes))
-	excl := make([]bool, len(c.nodes))
-	occupied := make([]int, len(c.nodes))
+	free, excl, occupied := c.replayFree, c.replayExcl, c.replayOcc
 	for i, n := range c.nodes {
 		free[i] = n.freeCores
 		// Down nodes release nothing and accept nothing: model them as
@@ -543,28 +596,7 @@ func (c *Cluster) earliestStart(head *Job) time.Duration {
 		excl[i] = n.exclusive || n.down
 		occupied[i] = len(n.jobs)
 	}
-	fits := func() bool {
-		perNode := head.Spec.TasksPerNode
-		if perNode == 0 {
-			perNode = c.machine.CoresPerNode
-		}
-		left := head.Spec.Tasks
-		for i := range free {
-			if excl[i] {
-				continue
-			}
-			if head.Spec.Exclusive && occupied[i] > 0 {
-				continue
-			}
-			fit := free[i]
-			if fit > perNode {
-				fit = perNode
-			}
-			left -= fit
-		}
-		return left <= 0
-	}
-	if fits() {
+	if c.replayFits(head) {
 		return c.now
 	}
 	for _, r := range rel {
@@ -575,11 +607,23 @@ func (c *Cluster) earliestStart(head *Job) time.Duration {
 		if occupied[r.node] == 0 {
 			excl[r.node] = false
 		}
-		if fits() {
+		if c.replayFits(head) {
 			return r.at
 		}
 	}
 	return time.Duration(math.MaxInt64) // never under current load
+}
+
+// replayFits reports whether head fits the replayed node state.
+func (c *Cluster) replayFits(head *Job) bool {
+	perNode, left := c.perNodeCap(head), head.Spec.Tasks
+	for i, free := range c.replayFree {
+		if c.replayExcl[i] || head.Spec.Exclusive && c.replayOcc[i] > 0 {
+			continue
+		}
+		left -= min(free, perNode)
+	}
+	return left <= 0
 }
 
 // predictRemaining estimates a running job's remaining time at current
@@ -608,7 +652,7 @@ func (c *Cluster) predictRemaining(j *Job) time.Duration {
 	return remDur
 }
 
-// start allocates and launches a job.
+// start launches a job on the allocation tryPlace built for it.
 func (c *Cluster) start(j *Job, nodes, tasks []int) {
 	j.State = Running
 	j.StartTime = c.now

@@ -93,8 +93,7 @@ func (o *oracle) nextJobEventLinear() (time.Duration, *Job, bool) {
 func (o *oracle) nextRequeueLinear() time.Duration {
 	c := o.c
 	at := maxDuration
-	for _, id := range c.order {
-		j := c.jobs[id]
+	for _, j := range c.order {
 		if j.eligibleAt > c.now && j.eligibleAt < at {
 			at = j.eligibleAt
 		}
