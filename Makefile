@@ -36,19 +36,22 @@ CHAOS_SEEDS ?= 1,2,3,4,5,6,7,8,9,10,11,12
 
 all: build test
 
-# The full static + dynamic gate: vet, the race-enabled test suite, the
-# allocation-regression tests, the fault-tolerance matrix, the chaos
-# soak, a one-iteration bench smoke of the MPI benchmarks under the
-# race detector, and the repo benchmark's own tests (perfbench is a
-# separate module, so the root `go test ./...` skips it).
+# The full static + dynamic gate: vet, the race-enabled test suite, a
+# flake gate over the modules and the activity registry (repeated,
+# shuffled, at 1, 2 and 4 cores), the allocation-regression tests, the
+# fault-tolerance matrix, the chaos soak, a one-iteration bench smoke of
+# the MPI benchmarks under the race detector, and the repo benchmark's
+# own tests (perfbench is a separate module, so the root `go test ./...`
+# skips it).
 check: faults chaos
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -count=3 -shuffle=on -cpu=1,2,4 ./internal/modules/... ./internal/core
 	$(GO) test -race -run 'TestAlloc' ./internal/mpi
 	$(GO) test -race -run 'TestRMA' ./internal/mpi
-	$(GO) test -race -run 'TestJoinRMA' ./internal/modules/hashjoin
+	$(GO) test -race -run 'TestJoinRMA|TestTableMatchesMap|TestAllocJoinKernel' ./internal/modules/hashjoin
 	$(GO) test -race -run 'TestIcollEventParity|TestFaultIallreduceKill|TestIcollDeadlockDetected|TestLinkLatency' ./internal/mpi
-	$(GO) test -race -run 'TestOverlapBitIdentical|TestZero1BitIdenticalWithDDP|TestAllocDDPBucketFlush' ./internal/modules/ddp
+	$(GO) test -race -run 'TestOverlapBitIdentical|TestZero1BitIdenticalWithDDP|TestAllocDDPBucketFlush|TestBlockedKernelsMatchScalar' ./internal/modules/ddp
 	$(GO) test -run 'TestAlloc|TestEvent' ./internal/telemetry
 	$(GO) test -race -run 'TestMetricsEndpointsLive|TestTransportCounterParity|TestLossyLinkCounterParity|TestGatherMerged' ./internal/telemetry
 	$(GO) test -race -run NONE -bench '$(MPI_BENCHES)' -benchtime=1x .

@@ -28,7 +28,7 @@ func main() {
 	for _, opt := range []kmeans.CommOption{kmeans.WeightedMeans, kmeans.ExplicitAssignments} {
 		assign := make([]int, n)
 		var res kmeans.Result
-		var wire int64
+		var c0 *mpi.Comm
 		err := mpi.Run(4, func(c *mpi.Comm) error {
 			r, local, off, err := kmeans.Distributed(c, pts, kmeans.Config{
 				K: k, MaxIter: 100, Seed: 3, Option: opt,
@@ -38,14 +38,16 @@ func main() {
 			}
 			copy(assign[off:], local)
 			if c.Rank() == 0 {
-				res = r
-				wire = c.Stats().TotalWire
+				res, c0 = r, c
 			}
 			return nil
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Read the world's wire total once every rank has exited: no
+		// send of the final allreduce can still be in flight.
+		wire := c0.Stats().TotalWire
 		fmt.Printf("%-22v %2d iterations, inertia %.0f, %8d wire bytes\n",
 			opt, res.Iterations, res.Inertia, wire)
 		centroids = res.Centroids

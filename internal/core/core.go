@@ -44,18 +44,20 @@ type Activity struct {
 
 // Launch runs the activity in its own world at np ranks (0 = default)
 // and returns rank 0's summary plus the world's communication snapshot.
-// Extra runtime options (e.g. mpi.WithTracer) pass through.
+// The snapshot is read after every rank has exited, when no send of the
+// final collective can still be in flight, so its counts repeat exactly
+// from launch to launch. Extra runtime options (e.g. mpi.WithTracer)
+// pass through.
 func (a Activity) Launch(np int, tcp bool, opts ...mpi.Option) (string, mpi.Snapshot, error) {
 	if np <= 0 {
 		np = a.DefaultNP
 	}
 	var summary string
-	var snap mpi.Snapshot
+	var c0 *mpi.Comm
 	fn := func(c *mpi.Comm) error {
 		s, err := a.Run(c)
 		if c.Rank() == 0 {
-			summary = s
-			snap = c.Stats()
+			summary, c0 = s, c
 		}
 		return err
 	}
@@ -64,6 +66,10 @@ func (a Activity) Launch(np int, tcp bool, opts ...mpi.Option) (string, mpi.Snap
 		err = mpi.RunTCP(np, fn, opts...)
 	} else {
 		err = mpi.Run(np, fn, opts...)
+	}
+	var snap mpi.Snapshot
+	if c0 != nil {
+		snap = c0.Stats()
 	}
 	return summary, snap, err
 }
@@ -269,12 +275,7 @@ func Extensions() []Activity {
 			Module: 7, Name: "hash-join", DefaultNP: 4, Discretionary: true,
 			Description: "distributed partitioned hash join (future-work module: algorithm choice)",
 			Run: func(c *mpi.Comm) (string, error) {
-				rng := rand.New(rand.NewSource(int64(c.Rank()) + 77))
-				var build, probe []hashjoin.Tuple
-				for i := 0; i < 20_000; i++ {
-					build = append(build, hashjoin.Tuple{Key: rng.Int63n(5000), Payload: rng.Int63()})
-					probe = append(probe, hashjoin.Tuple{Key: rng.Int63n(5000), Payload: rng.Int63()})
-				}
+				build, probe := joinInputs(c, 20_000)
 				_, res, err := hashjoin.Join(c, build, probe)
 				if err != nil {
 					return "", err
@@ -343,15 +344,10 @@ func DDPActivityConfig(a Activity, overlap bool, bucketBytes int) Activity {
 // same phase breakdown — the only variable is the deposit design.
 func hashJoinRMAActivity(join func(*mpi.Comm, []hashjoin.Tuple, []hashjoin.Tuple) ([]hashjoin.Pair, hashjoin.Result, error)) func(*mpi.Comm) (string, error) {
 	return func(c *mpi.Comm) (string, error) {
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 77))
-		var build, probe []hashjoin.Tuple
 		// Smaller than the two-sided activity: the per-tuple deposit pays
 		// one CAS round-trip per tuple, which is the point of the
 		// RMA-vs-two-sided study, but keeps the demo snappy.
-		for i := 0; i < 5_000; i++ {
-			build = append(build, hashjoin.Tuple{Key: rng.Int63n(5000), Payload: rng.Int63()})
-			probe = append(probe, hashjoin.Tuple{Key: rng.Int63n(5000), Payload: rng.Int63()})
-		}
+		build, probe := joinInputs(c, 5_000)
 		_, res, err := join(c, build, probe)
 		if err != nil {
 			return "", err
@@ -359,6 +355,20 @@ func hashJoinRMAActivity(join func(*mpi.Comm, []hashjoin.Tuple, []hashjoin.Tuple
 		return fmt.Sprintf("%d matches, imbalance %.2f, rma build %v, probe exchange %v, probe %v",
 			res.Matches, res.Imbalance, res.BuildDur, res.PartitionDur, res.ProbeDur), nil
 	}
+}
+
+// joinInputs draws this rank's n build and n probe tuples for the
+// module-7 activities, keys uniform over 5000 values, each relation
+// allocated once at full size.
+func joinInputs(c *mpi.Comm, n int) (build, probe []hashjoin.Tuple) {
+	rng := rand.New(rand.NewSource(int64(c.Rank()) + 77))
+	build = make([]hashjoin.Tuple, n)
+	probe = make([]hashjoin.Tuple, n)
+	for i := range build {
+		build[i] = hashjoin.Tuple{Key: rng.Int63n(5000), Payload: rng.Int63()}
+		probe[i] = hashjoin.Tuple{Key: rng.Int63n(5000), Payload: rng.Int63()}
+	}
+	return build, probe
 }
 
 func stencilActivity(v latencyhiding.Variant) func(*mpi.Comm) (string, error) {

@@ -81,6 +81,28 @@ func TestActivityOverTCP(t *testing.T) {
 	}
 }
 
+// TestLaunchSnapshotDeterministic: Launch reads the world's counters
+// after every rank has exited, so repeated launches of a deterministic
+// activity report identical wire bytes and message counts. A snapshot
+// read from rank 0 mid-run would race the other ranks' final sends.
+func TestLaunchSnapshotDeterministic(t *testing.T) {
+	a, _ := Find("kmeans-weighted-means")
+	_, first, err := a.Launch(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		_, snap, err := a.Launch(0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.TotalWire != first.TotalWire || snap.TotalMsgs != first.TotalMsgs {
+			t.Fatalf("launch %d: %d wire bytes in %d msgs, launch 0: %d in %d",
+				i, snap.TotalWire, snap.TotalMsgs, first.TotalWire, first.TotalMsgs)
+		}
+	}
+}
+
 // TestVerifyTableII is the paper-fidelity check: the module
 // implementations must invoke exactly the primitive sets Table II
 // prescribes (required primitives present, nothing outside the R/N sets

@@ -211,6 +211,14 @@ func (m *model) setFlatVel(v []float64) {
 	}
 }
 
+// The three kernels below — forward, the dW/db accumulation and the
+// delta2 propagation — are register-blocked over samples: each walks a
+// W row (or dW row) once per group of 4 samples, with 4 independent
+// accumulators, and a scalar tail handles batch%4. Every accumulator
+// adds its terms in exactly the order the one-sample-at-a-time loop
+// does, so the results are bit-identical to it on the same GOARCH
+// (TestBlockedKernelsMatchScalar keeps that loop as the reference).
+
 // forward runs the batch through the network: tanh hidden layers, linear
 // output. X is batch×sizes[0] row-major and is copied into acts[0] for
 // backward.
@@ -220,22 +228,44 @@ func (m *model) forward(X []float64) {
 	for l, lay := range m.layers {
 		in, out := lay.in, lay.out
 		A, Z := m.acts[l], m.acts[l+1]
-		for s := 0; s < m.batch; s++ {
-			arow := A[s*in : (s+1)*in]
-			zrow := Z[s*out : (s+1)*out]
+		hidden := l != last
+		s := 0
+		for ; s+4 <= m.batch; s += 4 {
+			a0, a1, a2, a3 := A[s*in:][:in], A[(s+1)*in:][:in], A[(s+2)*in:][:in], A[(s+3)*in:][:in]
+			for o := 0; o < out; o++ {
+				wrow := lay.W[o*in:][:in]
+				s0, s1, s2, s3 := lay.b[o], lay.b[o], lay.b[o], lay.b[o]
+				for i, w := range wrow {
+					s0 += w * a0[i]
+					s1 += w * a1[i]
+					s2 += w * a2[i]
+					s3 += w * a3[i]
+				}
+				Z[s*out+o] = activate(s0, hidden)
+				Z[(s+1)*out+o] = activate(s1, hidden)
+				Z[(s+2)*out+o] = activate(s2, hidden)
+				Z[(s+3)*out+o] = activate(s3, hidden)
+			}
+		}
+		for ; s < m.batch; s++ {
+			arow := A[s*in:][:in]
 			for o := 0; o < out; o++ {
 				sum := lay.b[o]
-				wrow := lay.W[o*in : (o+1)*in]
-				for i, a := range arow {
-					sum += wrow[i] * a
+				for i, w := range lay.W[o*in:][:in] {
+					sum += w * arow[i]
 				}
-				if l != last {
-					sum = math.Tanh(sum)
-				}
-				zrow[o] = sum
+				Z[s*out+o] = activate(sum, hidden)
 			}
 		}
 	}
+}
+
+// activate applies the hidden layers' tanh; the output layer is linear.
+func activate(x float64, hidden bool) float64 {
+	if hidden {
+		return math.Tanh(x)
+	}
+	return x
 }
 
 // outputLoss computes the mean-squared-error against Y (batch×sizes[last])
@@ -262,13 +292,35 @@ func (m *model) outputLoss(Y []float64) float64 {
 func (m *model) backwardLayer(l int) {
 	lay := m.layers[l]
 	in, out := lay.in, lay.out
-	A := m.acts[l]
-	for s := 0; s < m.batch; s++ {
-		drow := m.delta[s*out : (s+1)*out]
-		arow := A[s*in : (s+1)*in]
-		for o, d := range drow {
+	A, D := m.acts[l], m.delta
+	s := 0
+	for ; s+4 <= m.batch; s += 4 {
+		d0, d1, d2, d3 := D[s*out:][:out], D[(s+1)*out:][:out], D[(s+2)*out:][:out], D[(s+3)*out:][:out]
+		a0, a1, a2, a3 := A[s*in:][:in], A[(s+1)*in:][:in], A[(s+2)*in:][:in], A[(s+3)*in:][:in]
+		for o := 0; o < out; o++ {
+			e0, e1, e2, e3 := d0[o], d1[o], d2[o], d3[o]
+			g := lay.db[o]
+			g += e0
+			g += e1
+			g += e2
+			g += e3
+			lay.db[o] = g
+			wg := lay.dW[o*in:][:in]
+			for i := range wg {
+				g := wg[i]
+				g += e0 * a0[i]
+				g += e1 * a1[i]
+				g += e2 * a2[i]
+				g += e3 * a3[i]
+				wg[i] = g
+			}
+		}
+	}
+	for ; s < m.batch; s++ {
+		arow := A[s*in:][:in]
+		for o, d := range D[s*out:][:out] {
 			lay.db[o] += d
-			wg := lay.dW[o*in : (o+1)*in]
+			wg := lay.dW[o*in:][:in]
 			for i, a := range arow {
 				wg[i] += d * a
 			}
@@ -278,22 +330,33 @@ func (m *model) backwardLayer(l int) {
 		return // no need to propagate into the input
 	}
 	// delta2 = (delta · W) ⊙ tanh'(input activation); tanh' = 1 - a².
-	for s := 0; s < m.batch; s++ {
-		drow := m.delta[s*out : (s+1)*out]
-		prow := m.delta2[s*in : (s+1)*in]
-		for i := range prow {
-			prow[i] = 0
+	P := m.delta2
+	s = 0
+	for ; s+4 <= m.batch; s += 4 {
+		d0, d1, d2, d3 := D[s*out:][:out], D[(s+1)*out:][:out], D[(s+2)*out:][:out], D[(s+3)*out:][:out]
+		p0, p1, p2, p3 := P[s*in:][:in], P[(s+1)*in:][:in], P[(s+2)*in:][:in], P[(s+3)*in:][:in]
+		clear(P[s*in : (s+4)*in])
+		for o := 0; o < out; o++ {
+			e0, e1, e2, e3 := d0[o], d1[o], d2[o], d3[o]
+			for i, w := range lay.W[o*in:][:in] {
+				p0[i] += e0 * w
+				p1[i] += e1 * w
+				p2[i] += e2 * w
+				p3[i] += e3 * w
+			}
 		}
-		for o, d := range drow {
-			wrow := lay.W[o*in : (o+1)*in]
-			for i, w := range wrow {
+	}
+	for ; s < m.batch; s++ {
+		prow := P[s*in:][:in]
+		clear(prow)
+		for o, d := range D[s*out:][:out] {
+			for i, w := range lay.W[o*in:][:in] {
 				prow[i] += d * w
 			}
 		}
-		arow := A[s*in : (s+1)*in]
-		for i, a := range arow {
-			prow[i] *= 1 - a*a
-		}
+	}
+	for i, a := range A[:m.batch*in] {
+		P[i] *= 1 - a*a
 	}
 	m.delta, m.delta2 = m.delta2, m.delta
 }

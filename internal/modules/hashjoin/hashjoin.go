@@ -82,20 +82,12 @@ func Join(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 
 	// Build.
 	buildStart := time.Now()
-	table := make(map[int64][]int64, len(myBuild))
-	for _, t := range myBuild {
-		table[t.Key] = append(table[t.Key], t.Payload)
-	}
+	tab := newTable(myBuild)
 	res.BuildDur = time.Since(buildStart)
 
 	// Probe.
 	probeStart := time.Now()
-	var out []Pair
-	for _, t := range myProbe {
-		for _, bp := range table[t.Key] {
-			out = append(out, Pair{BuildPayload: bp, ProbePayload: t.Payload})
-		}
-	}
+	out := tab.probe(myProbe)
 	res.ProbeDur = time.Since(probeStart)
 	res.LocalMatches = len(out)
 
@@ -129,64 +121,201 @@ func finishStats(c *mpi.Comm, res *Result, localMatches, myBuildN int) error {
 	return nil
 }
 
+// table is a join's build side in compressed sparse row (CSR) form:
+// each distinct key is a group, and group g's payloads are
+// payloads[offsets[g]:offsets[g+1]] in the order the build tuples
+// arrived. Keys are located through an open-addressing index (linear
+// probing at load factor <= 1/2), so a build allocates the same few
+// arrays however many distinct keys the relation holds.
+type table struct {
+	index    []int32 // slot → group+1; 0 marks an empty slot
+	keys     []int64 // group → key
+	offsets  []int32 // group boundaries into payloads, len(keys)+1
+	payloads []int64 // every build payload, grouped by key
+}
+
+// newTable builds the table in two passes over tuples: the first
+// assigns every tuple its group and counts the group sizes, the second
+// scatters the payloads into their groups.
+func newTable(tuples []Tuple) *table {
+	n := len(tuples)
+	t := &table{
+		index:    make([]int32, nextPow2(2*n)),
+		keys:     make([]int64, 0, n),
+		offsets:  make([]int32, n+1),
+		payloads: make([]int64, n),
+	}
+	group := make([]int32, n)
+	for i, tup := range tuples {
+		g := t.insert(tup.Key)
+		group[i] = g
+		t.offsets[g+1]++
+	}
+	ng := len(t.keys)
+	t.offsets = t.offsets[:ng+1]
+	for g := 0; g < ng; g++ {
+		t.offsets[g+1] += t.offsets[g]
+	}
+	// offsets[g] doubles as group g's fill cursor; once every payload
+	// is placed it holds group g's end, and a shift by one restores
+	// the starts.
+	for i, tup := range tuples {
+		g := group[i]
+		t.payloads[t.offsets[g]] = tup.Payload
+		t.offsets[g]++
+	}
+	copy(t.offsets[1:], t.offsets[:ng])
+	t.offsets[0] = 0
+	return t
+}
+
+// insert returns key's group, opening a new one on first sight.
+func (t *table) insert(key int64) int32 {
+	g, slot := t.lookup(key)
+	if g < 0 {
+		t.keys = append(t.keys, key)
+		t.index[slot] = int32(len(t.keys))
+		g = int32(len(t.keys) - 1)
+	}
+	return g
+}
+
+// find returns key's group, or -1 when no build tuple has the key.
+func (t *table) find(key int64) int32 {
+	g, _ := t.lookup(key)
+	return g
+}
+
+// lookup probes the index for key. It returns key's group and slot, or
+// -1 and the empty slot that ended the probe sequence.
+func (t *table) lookup(key int64) (int32, int) {
+	mask := len(t.index) - 1
+	for s := hashSlot(key, len(t.index)); ; s = (s + 1) & mask {
+		g := t.index[s]
+		if g == 0 {
+			return -1, s
+		}
+		if t.keys[g-1] == key {
+			return g - 1, s
+		}
+	}
+}
+
+// group returns the payloads of group g in insertion order.
+func (t *table) group(g int32) []int64 {
+	return t.payloads[t.offsets[g]:t.offsets[g+1]]
+}
+
+// probe joins probe against the table. It counts the matches first and
+// then fills a result of exactly that size: probe order, and build
+// insertion order within a key.
+func (t *table) probe(probe []Tuple) []Pair {
+	n := 0
+	for _, p := range probe {
+		if g := t.find(p.Key); g >= 0 {
+			n += int(t.offsets[g+1] - t.offsets[g])
+		}
+	}
+	out := make([]Pair, n)
+	i := 0
+	for _, p := range probe {
+		g := t.find(p.Key)
+		if g < 0 {
+			continue
+		}
+		for _, bp := range t.group(g) {
+			out[i] = Pair{BuildPayload: bp, ProbePayload: p.Payload}
+			i++
+		}
+	}
+	return out
+}
+
+// partition packs tuples into one flat key/payload buffer grouped by
+// owning rank, keeping input order within an owner: owner d's tuples
+// are send[2*bounds[d]:2*bounds[d+1]].
+func partition(tuples []Tuple, p int) (send []int64, bounds []int) {
+	bounds = make([]int, p+1)
+	for _, t := range tuples {
+		bounds[hashKey(t.Key, p)+1]++
+	}
+	for d := 0; d < p; d++ {
+		bounds[d+1] += bounds[d]
+	}
+	next := make([]int, p)
+	copy(next, bounds)
+	send = make([]int64, 2*len(tuples))
+	for _, t := range tuples {
+		d := hashKey(t.Key, p)
+		i := 2 * next[d]
+		send[i], send[i+1] = t.Key, t.Payload
+		next[d]++
+	}
+	return send, bounds
+}
+
 // exchange hash-partitions tuples by key and redistributes them with the
-// module-level point-to-point pattern (Isend all partitions, receive one
-// block from every peer).
+// module-level point-to-point pattern (Isend every partition, receive one
+// block from every peer). The received wire blocks are held until all
+// have arrived, so the result is allocated once at its final size.
 func exchange(c *mpi.Comm, tuples []Tuple, tag int) ([]Tuple, error) {
 	p, r := c.Size(), c.Rank()
-	parts := make([][]int64, p)
-	for _, t := range tuples {
-		dst := hashKey(t.Key, p)
-		parts[dst] = append(parts[dst], t.Key, t.Payload)
-	}
-	var reqs []*mpi.Request
+	send, bounds := partition(tuples, p)
+	reqs := make([]*mpi.Request, 0, p-1)
 	for dst := 0; dst < p; dst++ {
 		if dst == r {
 			continue
 		}
-		req, err := mpi.Isend(c, parts[dst], dst, tag)
+		req, err := mpi.Isend(c, send[2*bounds[dst]:2*bounds[dst+1]], dst, tag)
 		if err != nil {
 			return nil, err
 		}
 		reqs = append(reqs, req)
 	}
-	flat := append([]int64(nil), parts[r]...)
-	var scratch []int64 // reused across receives: the loop is allocation-free once grown
+	n := bounds[r+1] - bounds[r]
+	blocks := make([][]byte, 0, p-1)
 	for i := 0; i < p-1; i++ {
-		blk, _, err := mpi.RecvInto(c, scratch[:0], mpi.AnySource, tag)
+		b, _, err := c.RecvBytes(mpi.AnySource, tag)
 		if err != nil {
 			return nil, err
 		}
-		flat = append(flat, blk...)
-		scratch = blk
+		if len(b)%tupleBytes != 0 {
+			return nil, fmt.Errorf("hashjoin: tuple stream of %d bytes is not whole tuples", len(b))
+		}
+		blocks = append(blocks, b)
+		n += len(b) / tupleBytes
 	}
 	if err := mpi.Waitall(reqs...); err != nil {
 		return nil, err
 	}
-	if len(flat)%2 != 0 {
-		return nil, fmt.Errorf("hashjoin: odd tuple stream length %d", len(flat))
+	out := make([]Tuple, 0, n)
+	own := send[2*bounds[r] : 2*bounds[r+1]]
+	for i := 0; i < len(own); i += 2 {
+		out = append(out, Tuple{Key: own[i], Payload: own[i+1]})
 	}
-	out := make([]Tuple, 0, len(flat)/2)
-	for i := 0; i < len(flat); i += 2 {
-		out = append(out, Tuple{Key: flat[i], Payload: flat[i+1]})
+	for _, b := range blocks {
+		out = decodeTuples(out, b)
+		mpi.Release(b)
 	}
 	return out, nil
+}
+
+// decodeTuples appends the key/payload pairs of b — little-endian int64
+// words, tupleBytes per tuple — to dst.
+func decodeTuples(dst []Tuple, b []byte) []Tuple {
+	for i := 0; i+tupleBytes <= len(b); i += tupleBytes {
+		dst = append(dst, Tuple{
+			Key:     int64(binary.LittleEndian.Uint64(b[i:])),
+			Payload: int64(binary.LittleEndian.Uint64(b[i+8:])),
+		})
+	}
+	return dst
 }
 
 // Sequential joins the full relations on one process — the reference for
 // tests and the scaling baseline.
 func Sequential(build, probe []Tuple) []Pair {
-	table := make(map[int64][]int64, len(build))
-	for _, t := range build {
-		table[t.Key] = append(table[t.Key], t.Payload)
-	}
-	var out []Pair
-	for _, t := range probe {
-		for _, bp := range table[t.Key] {
-			out = append(out, Pair{BuildPayload: bp, ProbePayload: t.Payload})
-		}
-	}
-	return out
+	return newTable(build).probe(probe)
 }
 
 // RMA build phase: instead of exchanging build tuples with two-sided
@@ -252,19 +381,15 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	start := time.Now()
 	res := Result{NP: p, BuildN: len(build), ProbeN: len(probe)}
 
-	// Gather this rank's deposits per owner, and size the window: after
+	// Pack this rank's deposits by owner, and size the window: after
 	// the Allreduce, perOwner[r] is exactly how many tuples rank r will
 	// own, so each region is provisioned tight — a tail counter plus
 	// that many tuple slots.
-	parts := make([][]int64, p)
-	mine := make([]int64, p)
+	send, bounds := partition(build, p)
 	perOwner := make([]int64, p)
-	for _, t := range build {
-		dst := hashKey(t.Key, p)
-		parts[dst] = append(parts[dst], t.Key, t.Payload)
-		perOwner[dst]++
+	for d := range perOwner {
+		perOwner[d] = int64(bounds[d+1] - bounds[d])
 	}
-	copy(mine, perOwner)
 	if err := mpi.AllreduceInto(c, perOwner, mpi.OpSum); err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma sizing: %w", err)
 	}
@@ -274,7 +399,7 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	if err != nil {
 		return nil, res, fmt.Errorf("hashjoin: rma window: %w", err)
 	}
-	// Deposit: reserve a contiguous run of mine[owner] slots by
+	// Deposit: reserve a contiguous run of this rank's slots by
 	// advancing the owner's tail counter with CAS (the loop converges in
 	// at most np attempts: every failure means another rank reserved its
 	// run), then Put the whole run at the reserved offset. The kv
@@ -283,7 +408,7 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	// the marshal buffer's high-water mark.
 	var kv []byte
 	for owner := 0; owner < p; owner++ {
-		n := mine[owner]
+		n := int64(bounds[owner+1] - bounds[owner])
 		if n == 0 {
 			continue
 		}
@@ -298,7 +423,7 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 			}
 			base = old
 		}
-		kv = mpi.AppendMarshal(kv[:0], parts[owner])
+		kv = mpi.AppendMarshal(kv[:0], send[2*bounds[owner]:2*bounds[owner+1]])
 		if err := win.Put(owner, 8+int(base)*tupleBytes, kv); err != nil {
 			return nil, res, fmt.Errorf("hashjoin: rma put: %w", err)
 		}
@@ -310,16 +435,11 @@ func JoinRMA(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) {
 	// landed; they are dense from offset 8.
 	local := win.Local()
 	myBuildN := int(binary.LittleEndian.Uint64(local))
-	table := make(map[int64][]int64, myBuildN)
-	for s := 0; s < myBuildN; s++ {
-		b := local[8+s*tupleBytes:]
-		key := int64(binary.LittleEndian.Uint64(b))
-		payload := int64(binary.LittleEndian.Uint64(b[8:]))
-		table[key] = append(table[key], payload)
-	}
+	myBuild := decodeTuples(make([]Tuple, 0, myBuildN), local[8:8+myBuildN*tupleBytes])
+	tab := newTable(myBuild)
 	res.BuildDur = time.Since(buildStart)
 
-	return probeAndFinish(c, win, table, probe, &res, myBuildN, start)
+	return probeAndFinish(c, win, tab, probe, &res, start)
 }
 
 // JoinRMAPerTuple is the un-optimized one-sided build the module's
@@ -386,29 +506,30 @@ func JoinRMAPerTuple(c *mpi.Comm, build, probe []Tuple) ([]Pair, Result, error) 
 		return nil, res, fmt.Errorf("hashjoin: rma fence: %w", err)
 	}
 	// Scan the local region: every claimed slot holds one build tuple
-	// owned by this rank.
+	// owned by this rank. A counting pass sizes the tuple list exactly.
 	local := win.Local()
 	myBuildN := 0
-	table := make(map[int64][]int64)
 	for s := 0; s < slots; s++ {
-		b := local[s*slotBytes:]
-		if int64(binary.LittleEndian.Uint64(b)) == 0 {
-			continue
+		if binary.LittleEndian.Uint64(local[s*slotBytes:]) != 0 {
+			myBuildN++
 		}
-		key := int64(binary.LittleEndian.Uint64(b[8:]))
-		payload := int64(binary.LittleEndian.Uint64(b[16:]))
-		table[key] = append(table[key], payload)
-		myBuildN++
 	}
+	myBuild := make([]Tuple, 0, myBuildN)
+	for s := 0; s < slots; s++ {
+		if b := local[s*slotBytes:]; binary.LittleEndian.Uint64(b) != 0 {
+			myBuild = decodeTuples(myBuild, b[8:slotBytes])
+		}
+	}
+	tab := newTable(myBuild)
 	res.BuildDur = time.Since(buildStart)
 
-	return probeAndFinish(c, win, table, probe, &res, myBuildN, start)
+	return probeAndFinish(c, win, tab, probe, &res, start)
 }
 
 // probeAndFinish is the tail both one-sided joins share: the two-sided
 // probe exchange, the local probe, window retirement and the global
 // reductions.
-func probeAndFinish(c *mpi.Comm, win *mpi.Win, table map[int64][]int64, probe []Tuple, res *Result, myBuildN int, start time.Time) ([]Pair, Result, error) {
+func probeAndFinish(c *mpi.Comm, win *mpi.Win, tab *table, probe []Tuple, res *Result, start time.Time) ([]Pair, Result, error) {
 	partStart := time.Now()
 	myProbe, err := exchange(c, probe, tagProbe)
 	if err != nil {
@@ -417,19 +538,14 @@ func probeAndFinish(c *mpi.Comm, win *mpi.Win, table map[int64][]int64, probe []
 	res.PartitionDur = time.Since(partStart)
 
 	probeStart := time.Now()
-	var out []Pair
-	for _, t := range myProbe {
-		for _, bp := range table[t.Key] {
-			out = append(out, Pair{BuildPayload: bp, ProbePayload: t.Payload})
-		}
-	}
+	out := tab.probe(myProbe)
 	res.ProbeDur = time.Since(probeStart)
 	res.LocalMatches = len(out)
 
 	if err := win.Free(); err != nil {
 		return nil, *res, fmt.Errorf("hashjoin: rma free: %w", err)
 	}
-	if err := finishStats(c, res, len(out), myBuildN); err != nil {
+	if err := finishStats(c, res, len(out), len(tab.payloads)); err != nil {
 		return nil, *res, err
 	}
 	res.Elapsed = time.Since(start)

@@ -3,6 +3,7 @@ package hashjoin
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -395,5 +396,76 @@ func TestJoinRMAUsesOneSidedPrimitives(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTableMatchesMap: the CSR build table must hold exactly the groups
+// a map[int64][]int64 built by appending would — every key's payloads,
+// in insertion order — and report absent keys as absent.
+func TestTableMatchesMap(t *testing.T) {
+	for _, keyRange := range []int64{1, 7, 500, 1 << 40} {
+		build, probe := makeRelations(3000, 500, keyRange, 21)
+		ref := make(map[int64][]int64)
+		for _, tup := range build {
+			ref[tup.Key] = append(ref[tup.Key], tup.Payload)
+		}
+		tab := newTable(build)
+		if len(tab.keys) != len(ref) {
+			t.Fatalf("range %d: %d groups, want %d", keyRange, len(tab.keys), len(ref))
+		}
+		for key, want := range ref {
+			g := tab.find(key)
+			if g < 0 {
+				t.Fatalf("range %d: key %d missing", keyRange, key)
+			}
+			got := tab.group(g)
+			if len(got) != len(want) {
+				t.Fatalf("range %d: key %d has %d payloads, want %d", keyRange, key, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("range %d: key %d payload %d is %d, want %d", keyRange, key, i, got[i], want[i])
+				}
+			}
+		}
+		for _, tup := range probe {
+			if _, ok := ref[tup.Key]; !ok && tab.find(tup.Key) >= 0 {
+				t.Fatalf("range %d: absent key %d found", keyRange, tup.Key)
+			}
+		}
+	}
+}
+
+// TestAllocJoinKernel: table build plus probe allocates a fixed number
+// of arrays — none of them grown by append — however many distinct
+// keys the relations hold, and the result is allocated at its exact
+// size.
+func TestAllocJoinKernel(t *testing.T) {
+	const n, np = 1024, 16
+	// A first collection starts the GC's worker goroutines, whose
+	// allocations would otherwise land inside whichever case triggers it.
+	runtime.GC()
+	var counts []float64
+	for _, distinct := range []int{1, 16, 256, n} {
+		build := make([]Tuple, n)
+		for i := range build {
+			build[i] = Tuple{Key: int64(i % distinct), Payload: int64(i)}
+		}
+		probe := make([]Tuple, np)
+		for i := range probe {
+			probe[i] = Tuple{Key: int64((i * 7) % distinct), Payload: int64(n + i)}
+		}
+		out := newTable(build).probe(probe)
+		if want := np * n / distinct; len(out) != want || cap(out) != len(out) {
+			t.Fatalf("%d distinct keys: len %d cap %d, want both %d", distinct, len(out), cap(out), want)
+		}
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			newTable(build).probe(probe)
+		}))
+	}
+	for _, c := range counts {
+		if c != counts[0] {
+			t.Fatalf("allocations depend on distinct keys: %v (for 1, 16, 256, %d keys)", counts, n)
+		}
 	}
 }

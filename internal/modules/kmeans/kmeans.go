@@ -83,6 +83,10 @@ type Result struct {
 	ComputeDur time.Duration // this rank's assignment/update time
 	CommDur    time.Duration // this rank's communication time
 	Centroids  data.Points
+	// DistEvals counts the point-to-centroid distances this rank's
+	// assignment steps evaluated: the deterministic measure of compute,
+	// N/p·k per iteration.
+	DistEvals int64
 }
 
 // Sequential runs Lloyd's algorithm on one process — the module's
@@ -99,7 +103,7 @@ func Sequential(pts data.Points, cfg Config) (Result, []int, error) {
 	start := time.Now()
 	for it := 0; it < cfg.MaxIter; it++ {
 		res.Iterations = it + 1
-		assignPoints(pts, cent, assign)
+		res.DistEvals += assignPoints(pts, cent, assign)
 		partialSumsInto(pts, assign, sums, counts)
 		moved := updateCentroids(cent, sums, counts, cfg.Tol)
 		if !moved {
@@ -206,7 +210,7 @@ func Distributed(c *mpi.Comm, pts data.Points, cfg Config) (Result, []int, int, 
 		res.Iterations = it + 1
 
 		computeStart := time.Now()
-		assignPoints(local, cent, assign)
+		res.DistEvals += assignPoints(local, cent, assign)
 		partialSumsInto(local, assign, sums, counts)
 		computeDur += time.Since(computeStart)
 
@@ -458,7 +462,7 @@ func SequentialWithCentroids(pts data.Points, init data.Points, cfg Config) (Res
 	start := time.Now()
 	for it := 0; it < cfg.MaxIter; it++ {
 		res.Iterations = it + 1
-		assignPoints(pts, cent, assign)
+		res.DistEvals += assignPoints(pts, cent, assign)
 		partialSumsInto(pts, assign, sums, counts)
 		if !updateCentroids(cent, sums, counts, cfg.Tol) {
 			res.Converged = true
@@ -492,8 +496,10 @@ func initialCentroids(pts data.Points, k int, seed int64) data.Points {
 	return data.Points{Dim: pts.Dim, Coords: coords}
 }
 
-// assignPoints writes each point's nearest-centroid index into assign.
-func assignPoints(pts data.Points, cent data.Points, assign []int) {
+// assignPoints writes each point's nearest-centroid index into assign
+// and returns the number of distances it evaluated.
+func assignPoints(pts data.Points, cent data.Points, assign []int) int64 {
+	var evals int64
 	for i := 0; i < pts.N(); i++ {
 		pt := pts.At(i)
 		best, bestDist := 0, math.Inf(1)
@@ -502,8 +508,10 @@ func assignPoints(pts data.Points, cent data.Points, assign []int) {
 				best, bestDist = c, d
 			}
 		}
+		evals += int64(cent.N())
 		assign[i] = best
 	}
+	return evals
 }
 
 // partialSumsInto accumulates per-cluster coordinate sums and counts

@@ -155,39 +155,59 @@ func TestWeightedMeansCommunicatesLess(t *testing.T) {
 }
 
 func TestComputeGrowsWithK(t *testing.T) {
-	// Large k → computation dominates. Wall-clock comm time on this
-	// in-process runtime is dominated by scheduling skew (especially on
-	// single-core machines), so the real-execution assertion is the
-	// robust half of the claim: per-iteration compute time grows
-	// steeply with k while per-iteration communication volume grows
-	// only linearly in k and stays tiny.
+	// Large k → computation dominates. Compute is asserted on the
+	// assignment step's distance-evaluation counter, not wall clock:
+	// every point meets every centroid once per iteration, so going from
+	// k=2 to k=64 must multiply the work exactly 32×, on any machine
+	// under any load. Communication volume grows only linearly in k (the
+	// allreduce payload) and stays tiny. BenchmarkAssignByK keeps the
+	// wall-clock curve.
 	pts, _ := data.GaussianMixture(8192, 2, 8, 2.0, 100, 6)
-	perIter := func(k int) (compute time.Duration, wireBytes int64) {
+	perIter := func(k int) (evals, wireBytes int64) {
+		var c0 *mpi.Comm
+		var iters int64
 		err := mpi.Run(4, func(c *mpi.Comm) error {
 			res, _, _, err := Distributed(c, pts, Config{K: k, MaxIter: 8, Seed: 1, Tol: -1})
 			if err != nil {
 				return err
 			}
 			if c.Rank() == 0 {
-				compute = res.ComputeDur / time.Duration(res.Iterations)
-				wireBytes = c.Stats().TotalWire / int64(res.Iterations)
+				c0, iters, evals = c, int64(res.Iterations), res.DistEvals
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return compute, wireBytes
+		return evals / iters, c0.Stats().TotalWire / iters
 	}
-	lowCompute, lowWire := perIter(2)
-	highCompute, highWire := perIter(64)
-	if highCompute < 5*lowCompute {
-		t.Fatalf("compute did not grow with k: k=2 → %v, k=64 → %v", lowCompute, highCompute)
+	lowEvals, lowWire := perIter(2)
+	highEvals, highWire := perIter(64)
+	if want := int64(8192 / 4 * 2); lowEvals != want {
+		t.Fatalf("k=2: %d distance evaluations per iteration, want N/p·k = %d", lowEvals, want)
+	}
+	if highEvals != 32*lowEvals {
+		t.Fatalf("compute did not grow 32× with k: k=2 → %d, k=64 → %d evaluations/iter", lowEvals, highEvals)
 	}
 	// Communication volume grows at most linearly with k (allreduce
 	// payload), far slower than the 32× compute growth.
 	if highWire > 40*lowWire {
 		t.Fatalf("communication grew too fast: %d → %d bytes/iter", lowWire, highWire)
+	}
+}
+
+// BenchmarkAssignByK is the wall-clock side of TestComputeGrowsWithK:
+// one assignment step over a rank's 2048-point share, per k.
+func BenchmarkAssignByK(b *testing.B) {
+	pts, _ := data.GaussianMixture(2048, 2, 8, 2.0, 100, 6)
+	assign := make([]int, pts.N())
+	for _, k := range []int{2, 8, 64} {
+		cent := initialCentroids(pts, k, 1)
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				assignPoints(pts, cent, assign)
+			}
+		})
 	}
 }
 

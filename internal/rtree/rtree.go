@@ -162,9 +162,14 @@ func (t *Tree) Stats() Stats { return t.stats }
 // ResetStats clears the search statistics.
 func (t *Tree) ResetStats() { t.stats = Stats{} }
 
-// InsertPoint indexes a point with the given id.
+// InsertPoint indexes a point with the given id. The point rect is
+// already a private copy, so it goes into the leaf without a second one.
 func (t *Tree) InsertPoint(pt []float64, id int) error {
-	return t.Insert(data.PointRect(pt), id)
+	if len(pt) != t.dim {
+		return fmt.Errorf("rtree: rect dimension %d, tree dimension %d", len(pt), t.dim)
+	}
+	t.insert(data.PointRect(pt), id)
+	return nil
 }
 
 // Insert indexes a rectangle with the given id.
@@ -177,11 +182,17 @@ func (t *Tree) Insert(r data.Rect, id int) error {
 			return fmt.Errorf("rtree: inverted rect on axis %d", d)
 		}
 	}
+	t.insert(r.Clone(), id)
+	return nil
+}
+
+// insert places a validated rect the tree may keep: leaf entries are
+// never mutated, but the caller must not reuse r's slices.
+func (t *Tree) insert(r data.Rect, id int) {
 	leaf := t.chooseLeaf(t.root, r)
-	leaf.entries = append(leaf.entries, entry{rect: r.Clone(), id: id})
+	leaf.entries = append(leaf.entries, entry{rect: r, id: id})
 	t.size++
 	t.adjustAfterInsert(leaf)
-	return nil
 }
 
 // chooseLeaf descends from n to the leaf whose bounding box needs least

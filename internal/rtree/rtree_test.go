@@ -269,3 +269,44 @@ func TestBulkSTRTighterOrEqualSearch(t *testing.T) {
 		t.Fatalf("STR tested %d entries vs insertion %d", str.Stats().EntriesTested, ins.Stats().EntriesTested)
 	}
 }
+
+// TestInsertPointMatchesInsert: InsertPoint skips Insert's defensive
+// clone, so it must build exactly the tree Insert builds from the same
+// point rects — same height, same search order, same visit counts — and
+// still keep its own copy of the caller's coordinates.
+func TestInsertPointMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	byPoint, _ := New(2, 8)
+	byRect, _ := New(2, 8)
+	pt := make([]float64, 2)
+	for i := 0; i < 2000; i++ {
+		pt[0], pt[1] = rng.Float64()*100, rng.Float64()*100
+		if err := byRect.Insert(data.PointRect(pt), i); err != nil {
+			t.Fatal(err)
+		}
+		if err := byPoint.InsertPoint(pt, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt[0], pt[1] = -1, -1 // must not reach the indexed point
+	if err := byPoint.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if byPoint.Height() != byRect.Height() {
+		t.Fatalf("height %d, want %d", byPoint.Height(), byRect.Height())
+	}
+	for _, q := range data.UniformRects(50, 2, 0, 100, 20, 3) {
+		got, want := byPoint.Search(q, nil), byRect.Search(q, nil)
+		if len(got) != len(want) {
+			t.Fatalf("query %v: %d hits, want %d", q, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("query %v: hit %d is %d, want %d", q, i, got[i], want[i])
+			}
+		}
+	}
+	if byPoint.Stats() != byRect.Stats() {
+		t.Fatalf("stats %+v, want %+v", byPoint.Stats(), byRect.Stats())
+	}
+}
